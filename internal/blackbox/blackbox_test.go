@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"dps/internal/codec"
 	"dps/internal/trace"
 )
 
@@ -205,7 +206,7 @@ func TestBlackboxBitFlipTruncates(t *testing.T) {
 	// Flip one payload byte inside the third record: records 1–2 survive,
 	// 3 fails its CRC, and 4 — though intact on disk — is unreachable
 	// because the walk cannot trust framing after a corrupt record.
-	off := headerSize + 2*recLen + 20
+	off := codec.HeaderSize + 2*recLen + 20
 	data[off] ^= 0xff
 	rounds, err := DecodeSegment(data)
 	if err != nil {

@@ -2,6 +2,8 @@ package blackbox
 
 import (
 	"testing"
+
+	"dps/internal/codec"
 )
 
 // FuzzBlackboxDecode shakes the segment decoder with arbitrary bytes:
@@ -18,13 +20,13 @@ func FuzzBlackboxDecode(f *testing.F) {
 	f.Add(valid)
 	f.Add(appendHeader(nil))
 	// Torn tails at a few depths, including mid-header of a record.
-	for _, cut := range []int{1, headerSize, headerSize + 3, len(valid) - 1, len(valid) - 17} {
+	for _, cut := range []int{1, codec.HeaderSize, codec.HeaderSize + 3, len(valid) - 1, len(valid) - 17} {
 		if cut > 0 && cut < len(valid) {
 			f.Add(valid[:cut])
 		}
 	}
 	// Bit flips in the header, a length field, a payload, and a CRC.
-	for _, off := range []int{0, 5, headerSize + 2, headerSize + 40, len(valid) - 2} {
+	for _, off := range []int{0, 5, codec.HeaderSize + 2, codec.HeaderSize + 40, len(valid) - 2} {
 		flipped := append([]byte(nil), valid...)
 		flipped[off] ^= 0x80
 		f.Add(flipped)

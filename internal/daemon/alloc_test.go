@@ -14,11 +14,13 @@ import (
 
 // TestDecideSamplerSteadyStateZeroAlloc extends the core hot-path
 // allocation gate to the self-monitoring deployment shape: with the
-// watchdog and series sampler wired into the daemon (watcher built,
-// tracer attached, audits fed every round, registry scraped between
-// rounds), the manager's warm decision round must still allocate nothing.
-// The sampler and auditor run beside the decision path, never inside it —
-// this test is that claim's regression gate.
+// watchdog, series sampler, black box and health tracking wired into the
+// daemon (watcher built, tracer attached, audits fed every round,
+// registry scraped between rounds), both the manager's warm decision
+// round and the daemon's whole warm round — Server.DecideOnce, with its
+// metrics, flight-recorder ring, audits and black-box append — must
+// allocate nothing. The sampler and auditor run beside the decision path,
+// never inside it — this test is that claim's regression gate.
 func TestDecideSamplerSteadyStateZeroAlloc(t *testing.T) {
 	const units = 128
 	cfg := core.DefaultConfig(units, testBudget(units))
@@ -33,12 +35,23 @@ func TestDecideSamplerSteadyStateZeroAlloc(t *testing.T) {
 		Interval:      time.Second,
 		SeriesEnabled: true,
 		WatchEnabled:  true,
+		StaleAfter:    time.Hour,
+		DeadAfter:     2 * time.Hour,
+		// The flight-recorder ring allocates each slot's unit buffer on
+		// its first write; the warm-up below fills every slot.
+		FlightRecorderSize: 8,
+		// A segment rotation opens a new file; with 1024 rounds per
+		// segment none falls inside the measured rounds.
+		BlackboxPath:   t.TempDir(),
+		BlackboxRounds: 4096,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer srv.Close()
 	now := time.Unix(1_700_000_000, 0).UTC()
 	srv.now = func() time.Time { return now }
+	srv.ResetHealthClocks()
 
 	rng := rand.New(rand.NewSource(1))
 	readings := make(power.Vector, units)
@@ -46,8 +59,8 @@ func TestDecideSamplerSteadyStateZeroAlloc(t *testing.T) {
 		readings[u] = power.Watts(40 + rng.Float64()*120)
 	}
 	// Warm through the full daemon round (metrics, flight recorder,
-	// audits) plus sampler scrapes, so every self-monitoring structure has
-	// grown to steady state.
+	// audits, black box) plus sampler scrapes, so every self-monitoring
+	// structure has grown to steady state.
 	for i := 0; i < 30; i++ {
 		readings[i%units] += power.Watts(rng.NormFloat64() * 2)
 		setReadings(srv, readings)
@@ -65,6 +78,22 @@ func TestDecideSamplerSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("watchdog-attached steady-state DecideStats allocated %.1f times per round, want 0", allocs)
+	}
+
+	i := 0
+	allocs = testing.AllocsPerRun(100, func() {
+		i++
+		readings[i%units] += power.Watts(rng.NormFloat64() * 2)
+		setReadings(srv, readings)
+		if _, err := srv.DecideOnce(1); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state DecideOnce (series, watchdog, black box, health on) allocated %.1f times per round, want 0", allocs)
+	}
+	if st := srv.Snapshot(); st.StaleUnits != 0 || st.DeadUnits != 0 || st.AlertsFiring != 0 {
+		t.Errorf("measured rounds were not clean steady state: %+v", st)
 	}
 }
 

@@ -335,9 +335,14 @@ func TestChaosStandbyTakeover(t *testing.T) {
 		if round == 3 {
 			killCaps = power.Vector{caps[2], caps[3]}
 		}
-		// Give the takeover goroutine a moment to observe the severed
-		// link before the next round replicates into nothing.
-		if standby.metrics.failovers.Value() > 0 {
+		// A dropped replica means the injected fault severed the link:
+		// the primary is dead from here on, so it decides no further
+		// rounds while the standby notices and takes over.
+		primary.snapMu.Lock()
+		linked := len(primary.replicas) > 0
+		primary.snapMu.Unlock()
+		if !linked {
+			waitUntil(t, "standby takeover", func() bool { return standby.metrics.failovers.Value() > 0 })
 			break
 		}
 	}

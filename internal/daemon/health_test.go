@@ -159,13 +159,13 @@ func TestHealthLifecycle(t *testing.T) {
 		t.Fatalf("transition counters fresh->stale=%d stale->dead=%d, want %d each", freshToStale, staleToDead, units)
 	}
 
-	// The flight recorder saw the degraded rounds.
-	recs := srv.FlightRecorder().Last(1)
+	// The flight recorder's ring saw the degraded rounds.
+	recs := srv.FlightRecorder().Last(1, -1)
 	if len(recs) != 1 || recs[0].DeadUnits != units {
 		t.Fatalf("flight record dead units = %+v", recs)
 	}
-	if recs[0].Units[0].Health != "dead" {
-		t.Fatalf("flight record unit health = %q", recs[0].Units[0].Health)
+	if got := recs[0].Units[0].HealthString(); got != "dead" {
+		t.Fatalf("flight record unit health = %q", got)
 	}
 
 	// Recovery: drop the dead session, re-handshake, report. The register

@@ -17,7 +17,6 @@ import (
 	"math"
 	"net"
 	"runtime"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,9 +44,9 @@ type ServerConfig struct {
 	Interval time.Duration
 	// Logf, if non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
-	// FlightRecorderSize is the number of decision rounds the flight
-	// recorder retains for GET /debug/rounds. Zero selects
-	// telemetry.DefaultFlightRecorderSize.
+	// FlightRecorderSize is the number of decision rounds the in-memory
+	// flight recorder retains for GET /debug/rounds and GET /debug/why.
+	// Zero selects blackbox.DefaultRingRounds.
 	FlightRecorderSize int
 
 	// StaleAfter marks a unit stale once no accepted reading has arrived
@@ -198,11 +197,11 @@ func (c ServerConfig) validate() error {
 type Server struct {
 	cfg ServerConfig
 
-	tel      *telemetry.Registry
-	recorder *telemetry.FlightRecorder
-	tracer   *trace.Recorder
-	metrics  serverMetrics
-	now      func() time.Time // stubbed in tests for deterministic records
+	tel     *telemetry.Registry
+	ring    *blackbox.Ring // in-memory flight recorder of compact rounds
+	tracer  *trace.Recorder
+	metrics serverMetrics
+	now     func() time.Time // stubbed in tests for deterministic records
 
 	// store/sampler exist when SeriesEnabled or any watch rule needs the
 	// history; watcher exists when WatchEnabled. All are read-only after
@@ -243,6 +242,18 @@ type Server struct {
 	snapBuf   power.Vector
 	dirtyBuf  *core.DirtyMask
 	healthBuf []core.UnitHealth
+	// prevCaps and prevPushed hold the pre-round lastCaps and lastPushed
+	// (the latter only while health tracking is on); targets and pushed
+	// are the round's connection lists. All are reused round over round,
+	// so a warm DecideOnce allocates nothing.
+	prevCaps   power.Vector
+	prevPushed power.Vector
+	targets    []*serverConn
+	pushed     []*serverConn
+	// rec is the round record observeRound fills once per round: the ring
+	// keeps a copy and the black box encodes it. Its Units slice is sized
+	// to cfg.Units in NewServer.
+	rec blackbox.Round
 
 	// mu guards the control plane: connections, ownership, and the
 	// per-round caches.
@@ -294,12 +305,9 @@ type Server struct {
 	// lastFileRound is the round of the most recent snapshot file write.
 	lastFileRound uint64
 	// Black-box flight recorder (DESIGN.md §15): bb is the on-disk round
-	// ring, nil when BlackboxPath is unset. bbRound is the retained
-	// encode target — its Units slice is preallocated to cfg.Units in
-	// NewServer and re-filled every round, so a warm append allocates
-	// nothing. bbClosed stops appends racing the final flush in Close.
+	// ring, nil when BlackboxPath is unset. bbClosed stops appends racing
+	// the final flush in Close.
 	bb       *blackbox.Writer
-	bbRound  blackbox.Round
 	bbClosed bool
 
 	// dial is the standby's outbound connector toward its primary; tests
@@ -392,10 +400,6 @@ type serverMetrics struct {
 	// transitions indexes dps_health_transitions_total{from,to} by
 	// from*3+to for the six possible state changes (nil where from == to).
 	transitions [9]*telemetry.Counter
-	unitPower   []*telemetry.Gauge
-	unitCap     []*telemetry.Gauge
-	unitPrio    []*telemetry.Gauge // nil unless the manager is a core.DPS
-	unitHealth  []*telemetry.Gauge // nil unless health tracking is enabled
 }
 
 // pipeline stage names, the label values of dps_stage_seconds.
@@ -463,8 +467,7 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig) serverMetrics {
 		bbDropped:     reg.Counter("dps_blackbox_dropped_rounds_total", "Rounds the black-box recorder failed to persist (append errors; should stay 0)."),
 		stages:        make(map[string]*telemetry.Histogram, 4),
 	}
-	healthEnabled := cfg.StaleAfter > 0 || cfg.DeadAfter > 0
-	if healthEnabled {
+	if cfg.StaleAfter > 0 || cfg.DeadAfter > 0 {
 		for from := core.HealthFresh; from <= core.HealthDead; from++ {
 			for to := core.HealthFresh; to <= core.HealthDead; to++ {
 				if from == to {
@@ -483,20 +486,6 @@ func newServerMetrics(reg *telemetry.Registry, cfg ServerConfig) serverMetrics {
 			telemetry.Label{Key: "stage", Value: stage})
 	}
 	m.budget.Set(float64(cfg.Manager.Budget().Total))
-	_, isDPS := cfg.Manager.(*core.DPS)
-	initialCaps := cfg.Manager.Caps()
-	for u := 0; u < cfg.Units; u++ {
-		lbl := telemetry.Label{Key: "unit", Value: strconv.Itoa(u)}
-		m.unitPower = append(m.unitPower, reg.Gauge("dps_unit_power_watts", "Last reported power per unit.", lbl))
-		m.unitCap = append(m.unitCap, reg.Gauge("dps_unit_cap_watts", "Assigned cap per unit.", lbl))
-		m.unitCap[u].Set(float64(initialCaps[u]))
-		if isDPS {
-			m.unitPrio = append(m.unitPrio, reg.Gauge("dps_unit_high_priority", "DPS priority flag per unit.", lbl))
-		}
-		if healthEnabled {
-			m.unitHealth = append(m.unitHealth, reg.Gauge("dps_unit_health", "Unit health state (0 fresh, 1 stale, 2 dead).", lbl))
-		}
-	}
 	return m
 }
 
@@ -529,7 +518,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
 		cfg:        cfg,
 		tel:        reg,
-		recorder:   telemetry.NewFlightRecorder(cfg.FlightRecorderSize),
+		ring:       blackbox.NewRing(cfg.FlightRecorderSize),
 		tracer:     tracer,
 		metrics:    newServerMetrics(reg, cfg),
 		now:        time.Now,
@@ -539,6 +528,8 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		dirtyBuf:   core.NewDirtyMask(cfg.Units),
 		lastCaps:   cfg.Manager.Caps().Clone(),
 		lastPushed: cfg.Manager.Caps().Clone(),
+		prevCaps:   make(power.Vector, cfg.Units),
+		rec:        blackbox.Round{Units: make([]blackbox.UnitRound, cfg.Units)},
 		owner:      make([]*serverConn, cfg.Units),
 		conns:      make(map[*serverConn]struct{}),
 		replicas:   make(map[*replicaConn]struct{}),
@@ -546,6 +537,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if s.healthEnabled() {
 		s.health = make([]core.UnitHealth, cfg.Units)
 		s.healthBuf = make([]core.UnitHealth, cfg.Units)
+		s.prevPushed = make(power.Vector, cfg.Units)
 		s.lastReport = make([]time.Time, cfg.Units)
 		// Units start with a full staleness clock: a unit that never
 		// registers an agent drifts to stale/dead on its own, reserved at
@@ -580,7 +572,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 			return nil, fmt.Errorf("daemon: opening black box: %w", err)
 		}
 		s.bb = bb
-		s.bbRound.Units = make([]blackbox.UnitRound, cfg.Units)
 	}
 	return s, nil
 }
@@ -602,9 +593,9 @@ func (s *Server) ResetHealthClocks() {
 // /metrics or folding into a larger exposition.
 func (s *Server) Telemetry() *telemetry.Registry { return s.tel }
 
-// FlightRecorder returns the decision flight recorder backing
-// GET /debug/rounds.
-func (s *Server) FlightRecorder() *telemetry.FlightRecorder { return s.recorder }
+// FlightRecorder returns the in-memory ring of compact round records
+// backing GET /debug/rounds and GET /debug/why.
+func (s *Server) FlightRecorder() *blackbox.Ring { return s.ring }
 
 // Trace returns the span recorder backing GET /debug/trace. It exists
 // even when tracing started disabled, so an operator can flip it on at
@@ -980,35 +971,32 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 	round := s.rounds.Load() + 1
 	s.recordHealthLocked(health)
 	snap := core.Snapshot{Power: s.snapBuf, Interval: interval, Health: health, Dirty: s.dirtyBuf}
-	prevCaps := s.lastCaps.Clone()
-	var lastPushed power.Vector
+	copy(s.prevCaps, s.lastCaps)
 	if health != nil {
-		lastPushed = s.lastPushed.Clone()
+		copy(s.prevPushed, s.lastPushed)
 	}
-	targets := make([]*serverConn, 0, len(s.conns))
 	for sc := range s.conns {
-		targets = append(targets, sc)
+		s.targets = append(s.targets, sc)
 	}
 	s.mu.Unlock()
 
 	started := s.now()
 	var caps power.Vector
-	var st core.RoundStats
-	hasStats := false
+	var st *core.RoundStats
 	if sd, ok := s.cfg.Manager.(statsDecider); ok {
-		caps, st = sd.DecideStats(snap)
-		hasStats = true
+		var stats core.RoundStats
+		caps, stats = sd.DecideStats(snap)
+		st = &stats
 	} else {
 		caps = s.cfg.Manager.Decide(snap)
 	}
 	elapsed := s.now().Sub(started)
 	managerCaps := caps
-	caps = s.degradedDeliver(caps, health, lastPushed)
+	caps = s.degradedDeliver(caps, health, s.prevPushed)
 
 	traceOn := s.tracer.On()
 	var firstErr error
-	pushed := make([]*serverConn, 0, len(targets))
-	for _, sc := range targets {
+	for _, sc := range s.targets {
 		first, n := int(sc.hello.FirstUnit), sc.hello.Units
 		if sc.hello.ApplyEcho {
 			// Stamp before the push so an echo racing the store can never
@@ -1034,12 +1022,12 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 			}
 			continue
 		}
-		pushed = append(pushed, sc)
+		s.pushed = append(s.pushed, sc)
 	}
 	s.mu.Lock()
 	s.rounds.Store(round)
 	copy(s.lastCaps, caps)
-	for _, sc := range pushed {
+	for _, sc := range s.pushed {
 		first, n := int(sc.hello.FirstUnit), sc.hello.Units
 		copy(s.lastPushed[first:first+n], caps[first:first+n])
 	}
@@ -1047,13 +1035,20 @@ func (s *Server) DecideOnce(interval power.Seconds) (power.Vector, error) {
 		s.lastPrio = append(s.lastPrio[:0], d.Priorities()...)
 		s.lastRestored = d.Restored()
 	}
-	s.lastDirtyUnits, s.lastSkippedUnits, s.lastDirtyFrac = st.DirtyUnits, st.SkippedUnits, st.DirtyFrac
+	if st != nil {
+		s.lastDirtyUnits, s.lastSkippedUnits, s.lastDirtyFrac = st.DirtyUnits, st.SkippedUnits, st.DirtyFrac
+	}
 	s.mu.Unlock()
+	// Drop the connection references so a closed connection is not kept
+	// alive until the next round overwrites it.
+	clear(s.targets)
+	clear(s.pushed)
+	s.targets, s.pushed = s.targets[:0], s.pushed[:0]
 	// The round is complete and published: assemble the state snapshot
 	// off the decision path proper and fan it out (file + replicas). A
 	// no-op unless snapshotting is configured or a standby is attached.
 	s.replicateRound(round)
-	s.observeRound(round, started, elapsed, interval, snap.Power, prevCaps, managerCaps, caps, health, lastPushed, st, hasStats)
+	s.observeRound(round, started, elapsed, interval, managerCaps, caps, st)
 	return caps, firstErr
 }
 
@@ -1081,8 +1076,8 @@ func (s *Server) classifyHealthLocked() []core.UnitHealth {
 }
 
 // recordHealthLocked diffs the round's health classification against the
-// previous round's retained state, publishing transitions, gauges, and
-// logs. Caller holds s.mu.
+// previous round's retained state, publishing transitions, the
+// stale/dead gauges, and logs. Caller holds s.mu.
 func (s *Server) recordHealthLocked(health []core.UnitHealth) {
 	if health == nil {
 		return
@@ -1096,7 +1091,6 @@ func (s *Server) recordHealthLocked(health []core.UnitHealth) {
 			s.health[u] = h
 			s.logf("daemon: unit %d health %s -> %s", u, prev, h)
 		}
-		s.metrics.unitHealth[u].Set(float64(h))
 		switch h {
 		case core.HealthStale:
 			stale++
@@ -1161,69 +1155,55 @@ func (s *Server) degradedDeliver(caps power.Vector, health []core.UnitHealth, la
 }
 
 // observeRound publishes one decision round to the metrics registry, the
-// flight recorder, and the watchdog's invariant audits. Called from the
-// decision loop only, after the round counter advanced. st carries the
-// round's controller stats when hasStats is true (the manager implements
-// statsDecider). managerCaps is the vector the manager decided; caps is
-// what was delivered — they differ only when degradedDeliver corrected a
-// health-blind policy, and the difference is what earns a unit the
-// degraded_deliver reason. lastPushed is the pre-round delivered-cap
-// vector (nil while health tracking is off), the reference the
-// health-pin audit checks non-fresh units against.
-func (s *Server) observeRound(round uint64, started time.Time, elapsed time.Duration, interval power.Seconds, readings, prevCaps, managerCaps, caps power.Vector, health []core.UnitHealth, lastPushed power.Vector, st core.RoundStats, hasStats bool) {
+// in-memory flight recorder, the watchdog's invariant audits and the
+// black box. Called from the decision loop only, after the round counter
+// advanced. st is the round's controller stats (nil when the manager is
+// not a statsDecider). managerCaps is the vector the manager decided;
+// caps is what was delivered — they differ only when degradedDeliver
+// corrected a health-blind policy, and the difference is what earns a
+// unit the degraded_deliver reason. The round's readings, health and
+// pre-round caps are the server's own decision buffers.
+//
+// The round is recorded once, compactly, in s.rec. The audits read the
+// float vectors, never the deciwatt record: a sub-deciwatt cap move with
+// no reason must still count as a provenance violation.
+func (s *Server) observeRound(round uint64, started time.Time, elapsed time.Duration, interval power.Seconds, managerCaps, caps power.Vector, st *core.RoundStats) {
 	m := &s.metrics
+	budget := float64(s.cfg.Manager.Budget().Total)
+	capSum := float64(caps.Sum())
 	m.rounds.Inc()
 	m.decide.Observe(elapsed.Seconds())
-	m.capSum.Set(float64(caps.Sum()))
+	m.capSum.Set(capSum)
 	// Budget can change at runtime (hierarchical deployments re-assign
 	// group budgets); refresh the gauge every round.
-	m.budget.Set(float64(s.cfg.Manager.Budget().Total))
-	for u := range readings {
-		m.unitPower[u].Set(float64(readings[u]))
-		m.unitCap[u].Set(float64(caps[u]))
-	}
+	m.budget.Set(budget)
 
-	rec := telemetry.RoundRecord{
+	r := &s.rec
+	*r = blackbox.Round{
 		Round:     round,
-		Time:      started,
+		UnixNano:  started.UnixNano(),
 		IntervalS: float64(interval),
-		Stages:    telemetry.StageSeconds{Total: elapsed.Seconds()},
-		BudgetW:   float64(s.cfg.Manager.Budget().Total),
-		CapSumW:   float64(caps.Sum()),
-		Units:     make([]telemetry.UnitRecord, len(caps)),
+		BudgetW:   budget,
+		CapSumW:   capSum,
+		TotalS:    elapsed.Seconds(),
+		Units:     r.Units,
 	}
-	if inherited := s.inheritedRounds.Load(); inherited != 0 {
-		rec.UptimeRounds = round - inherited
-		rec.StateAgeRounds = round
-	}
-	for _, h := range health {
-		switch h {
-		case core.HealthStale:
-			rec.StaleUnits++
-		case core.HealthDead:
-			rec.DeadUnits++
-		}
-	}
-	var prio []bool
-	if hasStats {
-		rec.Stages = telemetry.StageSeconds{
-			Kalman:    st.Timings.Kalman.Seconds(),
-			Stateless: st.Timings.Stateless.Seconds(),
-			Priority:  st.Timings.Priority.Seconds(),
-			Readjust:  st.Timings.Readjust.Seconds(),
-			Total:     elapsed.Seconds(),
-		}
-		rec.Restored = st.Restored
-		rec.PriorityFlips = st.PriorityFlips
-		rec.BudgetExhausted = st.BudgetExhausted
-		rec.BudgetClamped = st.BudgetClamped
-		rec.DirtyUnits = st.DirtyUnits
-		rec.SkippedUnits = st.SkippedUnits
+	if st != nil {
+		r.KalmanS = st.Timings.Kalman.Seconds()
+		r.StatelessS = st.Timings.Stateless.Seconds()
+		r.PriorityS = st.Timings.Priority.Seconds()
+		r.ReadjustS = st.Timings.Readjust.Seconds()
+		r.Restored = st.Restored
+		r.PriorityFlips = st.PriorityFlips
+		r.BudgetExhausted = st.BudgetExhausted
+		r.BudgetClamped = st.BudgetClamped
+		r.DirtyUnits = st.DirtyUnits
+		r.SkippedUnits = st.SkippedUnits
 
-		m.stages[stageKalman].Observe(rec.Stages.Kalman)
-		m.stages[stageStateless].Observe(rec.Stages.Stateless)
-		m.stages[stagePriority].Observe(rec.Stages.Priority)
-		m.stages[stageReadjust].Observe(rec.Stages.Readjust)
+		m.stages[stageKalman].Observe(r.KalmanS)
+		m.stages[stageStateless].Observe(r.StatelessS)
+		m.stages[stagePriority].Observe(r.PriorityS)
+		m.stages[stageReadjust].Observe(r.ReadjustS)
 		if st.Restored {
 			m.restores.Inc()
 		}
@@ -1237,119 +1217,71 @@ func (s *Server) observeRound(round uint64, started time.Time, elapsed time.Dura
 		m.dirtyUnits.Set(float64(st.DirtyUnits))
 		m.skippedUnits.Set(float64(st.SkippedUnits))
 	}
+	var prio []bool
 	var prov []trace.CapChange
 	if d, ok := s.cfg.Manager.(*core.DPS); ok {
 		prio = d.Priorities()
 		prov = d.Provenance()
-		for u, hp := range prio {
-			v := 0.0
-			if hp {
-				v = 1
-			}
-			m.unitPrio[u].Set(v)
-		}
 	}
-	for u := range caps {
-		ur := telemetry.UnitRecord{
-			Unit:      u,
-			ReadingW:  float64(readings[u]),
-			CapW:      float64(caps[u]),
-			CapDeltaW: float64(caps[u] - prevCaps[u]),
+	health := s.healthBuf
+	audit := watch.RoundAudit{
+		Round:             round,
+		Time:              started,
+		BudgetW:           budget,
+		CapSumW:           capSum,
+		ProvenanceAudited: prov != nil,
+	}
+	for u := range r.Units {
+		ur := blackbox.UnitRound{
+			ReadingDW: proto.ToDeciwatts(s.snapBuf[u]),
+			CapDW:     proto.ToDeciwatts(caps[u]),
 		}
 		if prio != nil {
-			ur.HighPriority = prio[u]
+			ur.Prio = prio[u]
 		}
-		if health != nil && health[u] != core.HealthFresh {
-			ur.Health = health[u].String()
-		}
-		if prov != nil && prov[u].Reason != trace.ReasonNone {
-			ur.Reason = prov[u].Reason.String()
+		if prov != nil {
+			ur.Reason = prov[u].Reason
 		}
 		if caps[u] != managerCaps[u] {
 			// Delivery-side pin or rescale overrode the manager: the last
 			// mover for this unit was degradedDeliver, whatever the manager
 			// thought it was doing.
-			ur.Reason = trace.ReasonDegradedDeliver.String()
+			ur.Reason = trace.ReasonDegradedDeliver
 		}
-		rec.Units[u] = ur
-	}
-	s.recorder.Append(rec)
-
-	if s.watcher != nil {
-		audit := watch.RoundAudit{
-			Round:             round,
-			Time:              started,
-			BudgetW:           rec.BudgetW,
-			CapSumW:           rec.CapSumW,
-			ProvenanceAudited: prov != nil,
-		}
-		for u := range caps {
-			if health != nil && health[u] != core.HealthFresh {
-				audit.PinAudited++
-				if caps[u] != lastPushed[u] {
-					audit.PinViolations++
-				}
+		if health != nil && health[u] != core.HealthFresh {
+			ur.Health = uint8(health[u])
+			if health[u] == core.HealthStale {
+				r.StaleUnits++
+			} else {
+				r.DeadUnits++
 			}
-			if audit.ProvenanceAudited && rec.Units[u].CapDeltaW != 0 && rec.Units[u].Reason == "" {
-				audit.ProvenanceViolations++
+			audit.PinAudited++
+			if caps[u] != s.prevPushed[u] {
+				audit.PinViolations++
 			}
 		}
-		s.watcher.ObserveRound(audit)
+		if prov != nil && caps[u] != s.prevCaps[u] && ur.Reason == trace.ReasonNone {
+			audit.ProvenanceViolations++
+		}
+		r.Units[u] = ur
 	}
-
-	s.appendBlackbox(&rec, readings, caps, managerCaps, health, prio, prov)
+	s.ring.Append(r)
+	s.watcher.ObserveRound(audit)
+	s.appendBlackbox()
 }
 
-// appendBlackbox writes one completed round into the black-box flight
-// recorder's on-disk ring. It runs on the decision goroutine after the
-// round is published, re-filling the retained s.bbRound so a warm append
-// allocates nothing; a failed append drops the round (counted by
+// appendBlackbox writes the round just recorded in s.rec into the black
+// box's on-disk ring. It runs on the decision goroutine after the round
+// is published; a failed append drops the round (counted by
 // dps_blackbox_dropped_rounds_total) rather than stalling the control
 // loop. snapMu orders it against the final flush in Close.
-func (s *Server) appendBlackbox(rec *telemetry.RoundRecord, readings, caps, managerCaps power.Vector, health []core.UnitHealth, prio []bool, prov []trace.CapChange) {
+func (s *Server) appendBlackbox() {
 	s.snapMu.Lock()
 	defer s.snapMu.Unlock()
 	if s.bb == nil || s.bbClosed {
 		return
 	}
-	r := &s.bbRound
-	r.Round = rec.Round
-	r.UnixNano = rec.Time.UnixNano()
-	r.IntervalS = rec.IntervalS
-	r.BudgetW = rec.BudgetW
-	r.CapSumW = rec.CapSumW
-	r.KalmanS = rec.Stages.Kalman
-	r.StatelessS = rec.Stages.Stateless
-	r.PriorityS = rec.Stages.Priority
-	r.ReadjustS = rec.Stages.Readjust
-	r.TotalS = rec.Stages.Total
-	r.Restored = rec.Restored
-	r.BudgetExhausted = rec.BudgetExhausted
-	r.BudgetClamped = rec.BudgetClamped
-	r.PriorityFlips = rec.PriorityFlips
-	r.StaleUnits = rec.StaleUnits
-	r.DeadUnits = rec.DeadUnits
-	r.DirtyUnits = rec.DirtyUnits
-	r.SkippedUnits = rec.SkippedUnits
-	r.Units = r.Units[:len(caps)]
-	for u := range caps {
-		ur := &r.Units[u]
-		ur.ReadingDW = proto.ToDeciwatts(readings[u])
-		ur.CapDW = proto.ToDeciwatts(caps[u])
-		ur.Prio = prio != nil && prio[u]
-		ur.Health = 0
-		if health != nil {
-			ur.Health = uint8(health[u])
-		}
-		ur.Reason = trace.ReasonNone
-		if prov != nil {
-			ur.Reason = prov[u].Reason
-		}
-		if caps[u] != managerCaps[u] {
-			ur.Reason = trace.ReasonDegradedDeliver
-		}
-	}
-	wrote, _, err := s.bb.Append(r)
+	wrote, _, err := s.bb.Append(&s.rec)
 	if err != nil {
 		s.metrics.bbDropped.Inc()
 		s.logf("daemon: blackbox append: %v", err)

@@ -12,7 +12,6 @@ import (
 
 	"dps/internal/core"
 	"dps/internal/power"
-	"dps/internal/telemetry"
 	"dps/internal/trace"
 )
 
@@ -253,12 +252,12 @@ func TestDebugRoundsGolden(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("/debug/rounds = %d", rec.Code)
 	}
-	var rounds []telemetry.RoundRecord
+	var rounds []RoundView
 	if err := json.Unmarshal(rec.Body.Bytes(), &rounds); err != nil {
 		t.Fatal(err)
 	}
 	for i := range rounds {
-		rounds[i].Stages = telemetry.StageSeconds{}
+		rounds[i].Stages = StageSeconds{}
 	}
 	masked, err := json.MarshalIndent(rounds, "", "  ")
 	if err != nil {
@@ -291,7 +290,7 @@ func TestDebugRoundsGolden(t *testing.T) {
 	if rec.Code != 200 {
 		t.Fatalf("/debug/rounds?unit=1 = %d", rec.Code)
 	}
-	var filtered []telemetry.RoundRecord
+	var filtered []RoundView
 	if err := json.Unmarshal(rec.Body.Bytes(), &filtered); err != nil {
 		t.Fatal(err)
 	}

@@ -197,7 +197,7 @@ func TestDebugSeriesEndpoint(t *testing.T) {
 		t.Fatalf("dps_cap_sum_watts history = %+v", out)
 	}
 
-	// The index lists sampled series; per-unit gauges carry their label
+	// The index lists sampled series; labeled series carry their label
 	// signature in the key.
 	rec = httptest.NewRecorder()
 	srv.StatusHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/debug/series", nil))
@@ -209,12 +209,12 @@ func TestDebugSeriesEndpoint(t *testing.T) {
 	}
 	found := false
 	for _, name := range idx.Series {
-		if name == `dps_unit_cap_watts{unit="1"}` {
+		if name == `dps_ingest_frames_total{kind="batch"}` {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("index missing labeled unit series: %v", idx.Series)
+		t.Fatalf("index missing labeled ingest series: %v", idx.Series)
 	}
 }
 

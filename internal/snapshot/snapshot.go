@@ -34,9 +34,8 @@ package snapshot
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"math"
 
+	"dps/internal/codec"
 	"dps/internal/history"
 	"dps/internal/kalman"
 	"dps/internal/power"
@@ -153,22 +152,6 @@ type State struct {
 // Encoding
 // ---------------------------------------------------------------------
 
-func appendU16(b []byte, v uint16) []byte { return append(b, byte(v), byte(v>>8)) }
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func appendU64(b []byte, v uint64) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func appendF64(b []byte, v float64) []byte { return appendU64(b, math.Float64bits(v)) }
-func appendBool(b []byte, v bool) []byte {
-	if v {
-		return append(b, 1)
-	}
-	return append(b, 0)
-}
-
 // appendBits packs a bool slice into 64-bit words, LSB of word 0 = index 0
 // — the same layout the controller's own masks use.
 func appendBits(b []byte, bits []bool) []byte {
@@ -178,12 +161,12 @@ func appendBits(b []byte, bits []bool) []byte {
 			w |= uint64(1) << uint(i&63)
 		}
 		if i&63 == 63 {
-			b = appendU64(b, w)
+			b = codec.AppendU64(b, w)
 			w = 0
 		}
 	}
 	if len(bits)&63 != 0 {
-		b = appendU64(b, w)
+		b = codec.AppendU64(b, w)
 	}
 	return b
 }
@@ -191,33 +174,7 @@ func appendBits(b []byte, bits []bool) []byte {
 // AppendHeader appends the snapshot header (magic + current version) to
 // dst. Used by Encode and by the standby when reassembling a full image
 // from replicated sections.
-func AppendHeader(dst []byte) []byte {
-	dst = append(dst, magic[:]...)
-	dst = appendU16(dst, Version)
-	dst = appendU16(dst, 0)
-	return dst
-}
-
-// beginSection appends a section header with a zero length placeholder
-// and returns the offset of the section start.
-func beginSection(b []byte, id uint16) ([]byte, int) {
-	start := len(b)
-	b = appendU16(b, id)
-	b = appendU32(b, 0)
-	return b, start
-}
-
-// endSection backfills the section length and appends the CRC over
-// id+length+payload.
-func endSection(b []byte, start int) []byte {
-	payloadLen := uint32(len(b) - start - 6)
-	b[start+2] = byte(payloadLen)
-	b[start+3] = byte(payloadLen >> 8)
-	b[start+4] = byte(payloadLen >> 16)
-	b[start+5] = byte(payloadLen >> 24)
-	crc := crc32.Checksum(b[start:], crc32.IEEETable)
-	return appendU32(b, crc)
-}
+func AppendHeader(dst []byte) []byte { return codec.AppendHeader(dst, magic, Version) }
 
 // Encode serializes st into dst[:0] and returns the extended slice.
 // Sections are emitted in id order, config first; reusing dst across
@@ -228,124 +185,124 @@ func Encode(dst []byte, st *State) []byte {
 
 	// SecConfig
 	var start int
-	b, start = beginSection(b, SecConfig)
-	b = appendU32(b, uint32(st.Units))
-	b = appendU64(b, uint64(st.Seed))
-	b = appendF64(b, float64(st.BudgetTotal))
-	b = appendF64(b, float64(st.UnitMax))
-	b = appendF64(b, float64(st.UnitMin))
-	b = appendBool(b, st.Sparse)
-	b = appendU32(b, uint32(st.SparseRefreshEvery))
-	b = endSection(b, start)
+	b, start = codec.BeginSection(b, SecConfig)
+	b = codec.AppendU32(b, uint32(st.Units))
+	b = codec.AppendU64(b, uint64(st.Seed))
+	b = codec.AppendF64(b, float64(st.BudgetTotal))
+	b = codec.AppendF64(b, float64(st.UnitMax))
+	b = codec.AppendF64(b, float64(st.UnitMin))
+	b = codec.AppendBool(b, st.Sparse)
+	b = codec.AppendU32(b, uint32(st.SparseRefreshEvery))
+	b = codec.EndSection(b, start)
 
 	if st.HasCore {
-		b, start = beginSection(b, SecCore)
-		b = appendU64(b, st.Steps)
-		b = appendBool(b, st.LastRestored)
-		b = appendBool(b, st.ProvDirty)
-		b = appendBool(b, st.HeldAllocated)
-		b = endSection(b, start)
+		b, start = codec.BeginSection(b, SecCore)
+		b = codec.AppendU64(b, st.Steps)
+		b = codec.AppendBool(b, st.LastRestored)
+		b = codec.AppendBool(b, st.ProvDirty)
+		b = codec.AppendBool(b, st.HeldAllocated)
+		b = codec.EndSection(b, start)
 
-		b, start = beginSection(b, SecCaps)
+		b, start = codec.BeginSection(b, SecCaps)
 		for _, c := range st.Caps {
-			b = appendF64(b, float64(c))
+			b = codec.AppendF64(b, float64(c))
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 
-		b, start = beginSection(b, SecKalman)
+		b, start = codec.BeginSection(b, SecKalman)
 		for i := range st.Kalman {
 			k := &st.Kalman[i]
-			b = appendF64(b, float64(k.Estimate))
-			b = appendF64(b, k.Variance)
-			b = appendBool(b, k.Primed)
+			b = codec.AppendF64(b, float64(k.Estimate))
+			b = codec.AppendF64(b, k.Variance)
+			b = codec.AppendBool(b, k.Primed)
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 
-		b, start = beginSection(b, SecRings)
-		b = appendU32(b, uint32(st.RingCap))
+		b, start = codec.BeginSection(b, SecRings)
+		b = codec.AppendU32(b, uint32(st.RingCap))
 		for i := range st.Rings {
 			r := &st.Rings[i]
-			b = appendU32(b, uint32(r.Head))
-			b = appendU32(b, uint32(r.N))
-			b = appendU32(b, uint32(r.Pushes))
-			b = appendF64(b, r.Sum)
-			b = appendF64(b, r.SumSq)
-			b = appendF64(b, r.DurSum)
-			b = appendF64(b, r.TailDur)
+			b = codec.AppendU32(b, uint32(r.Head))
+			b = codec.AppendU32(b, uint32(r.N))
+			b = codec.AppendU32(b, uint32(r.Pushes))
+			b = codec.AppendF64(b, r.Sum)
+			b = codec.AppendF64(b, r.SumSq)
+			b = codec.AppendF64(b, r.DurSum)
+			b = codec.AppendF64(b, r.TailDur)
 			for _, p := range r.Powers {
-				b = appendF64(b, float64(p))
+				b = codec.AppendF64(b, float64(p))
 			}
 			for _, d := range r.Durations {
-				b = appendF64(b, float64(d))
+				b = codec.AppendF64(b, float64(d))
 			}
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 
-		b, start = beginSection(b, SecPriority)
+		b, start = codec.BeginSection(b, SecPriority)
 		b = appendBits(b, st.Prio)
 		b = appendBits(b, st.HighFreq)
 		b = appendBits(b, st.PrevPrio)
 		for i := range st.Frozen {
 			f := &st.Frozen[i]
-			b = appendU32(b, uint32(f.N))
-			b = appendF64(b, float64(f.Std))
-			b = appendF64(b, float64(f.Deriv))
-			b = appendBool(b, f.HighFreqNow)
+			b = codec.AppendU32(b, uint32(f.N))
+			b = codec.AppendF64(b, float64(f.Std))
+			b = codec.AppendF64(b, float64(f.Deriv))
+			b = codec.AppendBool(b, f.HighFreqNow)
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 
-		b, start = beginSection(b, SecRNG)
-		b = appendU64(b, uint64(st.RNGSeed))
-		b = appendU64(b, st.RNGDraws)
-		b = endSection(b, start)
+		b, start = codec.BeginSection(b, SecRNG)
+		b = codec.AppendU64(b, uint64(st.RNGSeed))
+		b = codec.AppendU64(b, st.RNGDraws)
+		b = codec.EndSection(b, start)
 
-		b, start = beginSection(b, SecProv)
+		b, start = codec.BeginSection(b, SecProv)
 		b = append(b, st.Reasons...)
 		for _, c := range st.RoundBefore {
-			b = appendF64(b, float64(c))
+			b = codec.AppendF64(b, float64(c))
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 	}
 
 	if st.HasSparse {
-		b, start = beginSection(b, SecSparse)
-		b = appendF64(b, float64(st.LastDT))
-		b = appendU64(b, uint64(int64(st.HighCount)))
-		b = appendF64(b, float64(st.CachedSum))
-		b = appendBool(b, st.SumValid)
+		b, start = codec.BeginSection(b, SecSparse)
+		b = codec.AppendF64(b, float64(st.LastDT))
+		b = codec.AppendU64(b, uint64(int64(st.HighCount)))
+		b = codec.AppendF64(b, float64(st.CachedSum))
+		b = codec.AppendBool(b, st.SumValid)
 		for _, w := range st.SettledW {
-			b = appendU64(b, w)
+			b = codec.AppendU64(b, w)
 		}
 		for _, w := range st.CapMovedW {
-			b = appendU64(b, w)
+			b = codec.AppendU64(b, w)
 		}
 		for _, v := range st.LastVal {
-			b = appendF64(b, float64(v))
+			b = codec.AppendF64(b, float64(v))
 		}
 		for _, s := range st.LastStep {
-			b = appendU64(b, s)
+			b = codec.AppendU64(b, s)
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 	}
 
 	if st.HasDaemon {
-		b, start = beginSection(b, SecDaemon)
-		b = appendU64(b, uint64(st.SavedUnixMS))
-		b = appendU64(b, st.Rounds)
+		b, start = codec.BeginSection(b, SecDaemon)
+		b = codec.AppendU64(b, uint64(st.SavedUnixMS))
+		b = codec.AppendU64(b, st.Rounds)
 		b = append(b, st.Health...)
 		for _, a := range st.ReportAgeMS {
-			b = appendU64(b, a)
+			b = codec.AppendU64(b, a)
 		}
 		for _, c := range st.LastCaps {
-			b = appendF64(b, float64(c))
+			b = codec.AppendF64(b, float64(c))
 		}
 		for _, c := range st.LastPushed {
-			b = appendF64(b, float64(c))
+			b = codec.AppendF64(b, float64(c))
 		}
 		for _, c := range st.Readings {
-			b = appendF64(b, float64(c))
+			b = codec.AppendF64(b, float64(c))
 		}
-		b = endSection(b, start)
+		b = codec.EndSection(b, start)
 	}
 
 	return b
@@ -367,77 +324,34 @@ func corruptf(format string, args ...any) error {
 	return fmt.Errorf("%w: %s", ErrCorrupt, fmt.Sprintf(format, args...))
 }
 
-// reader is a bounds-checked cursor over one section's payload. Reads
-// past the end set err and return zero values — decoders check err once
-// per section instead of after every field, and malformed input can only
-// produce an error, never a panic.
-type reader struct {
-	b   []byte
-	off int
-	err error
-}
-
-func (r *reader) fail() {
-	if r.err == nil {
-		r.err = corruptf("truncated section payload at offset %d", r.off)
-	}
-}
-
-func (r *reader) u8() uint8 {
-	if r.err != nil || r.off+1 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	v := r.b[r.off]
-	r.off++
-	return v
-}
-
-func (r *reader) boolean() bool { return r.u8() != 0 }
-
-func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 4
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.b) {
-		r.fail()
-		return 0
-	}
-	b := r.b[r.off:]
-	r.off += 8
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func (r *reader) f64() float64 { return math.Float64frombits(r.u64()) }
-
-// bits unpacks words(n) 64-bit words into dst (length n).
-func (r *reader) bits(dst []bool) {
+// readBits unpacks words(len(dst)) 64-bit words into dst.
+func readBits(r *codec.Reader, dst []bool) {
 	var w uint64
 	for i := range dst {
 		if i&63 == 0 {
-			w = r.u64()
+			w = r.U64()
 		}
 		dst[i] = w&(uint64(1)<<uint(i&63)) != 0
 	}
 }
 
+// readErr wraps a failed read in ErrCorrupt (nil while r is healthy).
+func readErr(r *codec.Reader) error {
+	if r.Err != nil {
+		return corruptf("truncated section payload at offset %d", r.Off)
+	}
+	return nil
+}
+
 // done errors unless the payload was consumed exactly: a known section
 // with trailing bytes is a framing bug, not forward compatibility
 // (format evolution adds sections, it does not extend old ones).
-func (r *reader) done(id uint16) error {
-	if r.err != nil {
-		return r.err
+func done(r *codec.Reader, id uint16) error {
+	if err := readErr(r); err != nil {
+		return err
 	}
-	if r.off != len(r.b) {
-		return corruptf("section 0x%04x: %d trailing bytes", id, len(r.b)-r.off)
+	if r.Off != len(r.B) {
+		return corruptf("section 0x%04x: %d trailing bytes", id, len(r.B)-r.Off)
 	}
 	return nil
 }
@@ -453,17 +367,14 @@ type Section struct {
 
 // header validates the fixed prefix and returns the remainder.
 func header(data []byte) ([]byte, error) {
-	if len(data) < HeaderSize {
-		return nil, corruptf("%d bytes, want at least the %d-byte header", len(data), HeaderSize)
+	v, rest, err := codec.ParseHeader(data, magic)
+	if err != nil {
+		return nil, corruptf("%v", err)
 	}
-	if data[0] != magic[0] || data[1] != magic[1] || data[2] != magic[2] || data[3] != magic[3] {
-		return nil, corruptf("bad magic %q", data[:4])
-	}
-	v := uint16(data[4]) | uint16(data[5])<<8
 	if v > Version {
 		return nil, fmt.Errorf("%w: snapshot version %d, decoder supports <= %d", ErrVersion, v, Version)
 	}
-	return data[HeaderSize:], nil
+	return rest, nil
 }
 
 // AppendSections validates data's header and splits it into CRC-checked
@@ -477,23 +388,12 @@ func AppendSections(dst []Section, data []byte) ([]Section, error) {
 		return dst, err
 	}
 	for len(rest) > 0 {
-		if len(rest) < 6 {
-			return dst, corruptf("%d-byte trailing fragment", len(rest))
+		id, payload, raw, err := codec.SplitSection(rest)
+		if err != nil {
+			return dst, corruptf("%v", err)
 		}
-		id := uint16(rest[0]) | uint16(rest[1])<<8
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := uint64(6) + uint64(n) + 4
-		if uint64(len(rest)) < total {
-			return dst, corruptf("section 0x%04x: length %d exceeds remaining %d bytes", id, n, len(rest))
-		}
-		raw := rest[:total]
-		crcOff := 6 + int(n)
-		want := uint32(raw[crcOff]) | uint32(raw[crcOff+1])<<8 | uint32(raw[crcOff+2])<<16 | uint32(raw[crcOff+3])<<24
-		if got := crc32.Checksum(raw[:crcOff], crc32.IEEETable); got != want {
-			return dst, corruptf("section 0x%04x: CRC 0x%08x, want 0x%08x", id, got, want)
-		}
-		dst = append(dst, Section{ID: id, Payload: raw[6:crcOff], Raw: raw[:total]})
-		rest = rest[total:]
+		dst = append(dst, Section{ID: id, Payload: payload, Raw: raw})
+		rest = rest[len(raw):]
 	}
 	return dst, nil
 }
@@ -594,22 +494,11 @@ func DecodeInto(st *State, data []byte) error {
 	var seen [11]bool // duplicate-section guard for known ids
 
 	for len(rest) > 0 {
-		if len(rest) < 6 {
-			return corruptf("%d-byte trailing fragment", len(rest))
+		id, payload, raw, err := codec.SplitSection(rest)
+		if err != nil {
+			return corruptf("%v", err)
 		}
-		id := uint16(rest[0]) | uint16(rest[1])<<8
-		n := uint32(rest[2]) | uint32(rest[3])<<8 | uint32(rest[4])<<16 | uint32(rest[5])<<24
-		total := uint64(6) + uint64(n) + 4
-		if uint64(len(rest)) < total {
-			return corruptf("section 0x%04x: length %d exceeds remaining %d bytes", id, n, len(rest))
-		}
-		crcOff := 6 + int(n)
-		want := uint32(rest[crcOff]) | uint32(rest[crcOff+1])<<8 | uint32(rest[crcOff+2])<<16 | uint32(rest[crcOff+3])<<24
-		if got := crc32.Checksum(rest[:crcOff], crc32.IEEETable); got != want {
-			return corruptf("section 0x%04x: CRC 0x%08x, want 0x%08x", id, got, want)
-		}
-		payload := rest[6:crcOff]
-		rest = rest[total:]
+		rest = rest[len(raw):]
 
 		if int(id) < len(seen) {
 			if seen[id] {
@@ -628,31 +517,31 @@ func DecodeInto(st *State, data []byte) error {
 			return corruptf("section 0x%04x: payload %d bytes, want %d", id, len(payload), want)
 		}
 
-		r := reader{b: payload}
+		r := codec.Reader{B: payload}
 		switch id {
 		case SecConfig:
-			units := r.u32()
+			units := r.U32()
 			if units == 0 || units > maxUnits {
 				return corruptf("unit count %d outside [1,%d]", units, maxUnits)
 			}
 			st.Units = int(units)
-			st.Seed = int64(r.u64())
-			st.BudgetTotal = power.Watts(r.f64())
-			st.UnitMax = power.Watts(r.f64())
-			st.UnitMin = power.Watts(r.f64())
-			st.Sparse = r.boolean()
-			st.SparseRefreshEvery = int(r.u32())
-			if err := r.done(id); err != nil {
+			st.Seed = int64(r.U64())
+			st.BudgetTotal = power.Watts(r.F64())
+			st.UnitMax = power.Watts(r.F64())
+			st.UnitMin = power.Watts(r.F64())
+			st.Sparse = r.Bool()
+			st.SparseRefreshEvery = int(r.U32())
+			if err := done(&r, id); err != nil {
 				return err
 			}
 			seenConfig = true
 
 		case SecCore:
-			st.Steps = r.u64()
-			st.LastRestored = r.boolean()
-			st.ProvDirty = r.boolean()
-			st.HeldAllocated = r.boolean()
-			if err := r.done(id); err != nil {
+			st.Steps = r.U64()
+			st.LastRestored = r.Bool()
+			st.ProvDirty = r.Bool()
+			st.HeldAllocated = r.Bool()
+			if err := done(&r, id); err != nil {
 				return err
 			}
 			st.HasCore = true
@@ -660,9 +549,9 @@ func DecodeInto(st *State, data []byte) error {
 		case SecCaps:
 			st.Caps = resizeVec(st.Caps, st.Units)
 			for i := range st.Caps {
-				st.Caps[i] = power.Watts(r.f64())
+				st.Caps[i] = power.Watts(r.F64())
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 
@@ -672,17 +561,17 @@ func DecodeInto(st *State, data []byte) error {
 			}
 			st.Kalman = st.Kalman[:st.Units]
 			for i := range st.Kalman {
-				st.Kalman[i].Estimate = power.Watts(r.f64())
-				st.Kalman[i].Variance = r.f64()
-				st.Kalman[i].Primed = r.boolean()
+				st.Kalman[i].Estimate = power.Watts(r.F64())
+				st.Kalman[i].Variance = r.F64()
+				st.Kalman[i].Primed = r.Bool()
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 
 		case SecRings:
-			rc := r.u32()
-			if r.err == nil && (rc == 0 || rc > maxRingCap) {
+			rc := r.U32()
+			if r.Err == nil && (rc == 0 || rc > maxRingCap) {
 				return corruptf("ring capacity %d outside [1,%d]", rc, maxRingCap)
 			}
 			st.RingCap = int(rc)
@@ -692,32 +581,32 @@ func DecodeInto(st *State, data []byte) error {
 			st.Rings = st.Rings[:st.Units]
 			for i := range st.Rings {
 				g := &st.Rings[i]
-				g.Head = int(r.u32())
-				g.N = int(r.u32())
-				g.Pushes = int(r.u32())
-				g.Sum = r.f64()
-				g.SumSq = r.f64()
-				g.DurSum = r.f64()
-				g.TailDur = r.f64()
-				if r.err != nil {
-					return r.err
+				g.Head = int(r.U32())
+				g.N = int(r.U32())
+				g.Pushes = int(r.U32())
+				g.Sum = r.F64()
+				g.SumSq = r.F64()
+				g.DurSum = r.F64()
+				g.TailDur = r.F64()
+				if err := readErr(&r); err != nil {
+					return err
 				}
 				if cap(g.Powers) < st.RingCap {
 					g.Powers = make([]power.Watts, st.RingCap)
 				}
 				g.Powers = g.Powers[:st.RingCap]
 				for j := range g.Powers {
-					g.Powers[j] = power.Watts(r.f64())
+					g.Powers[j] = power.Watts(r.F64())
 				}
 				if cap(g.Durations) < st.RingCap {
 					g.Durations = make([]power.Seconds, st.RingCap)
 				}
 				g.Durations = g.Durations[:st.RingCap]
 				for j := range g.Durations {
-					g.Durations[j] = power.Seconds(r.f64())
+					g.Durations[j] = power.Seconds(r.F64())
 				}
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 
@@ -725,94 +614,94 @@ func DecodeInto(st *State, data []byte) error {
 			st.Prio = resizeBool(st.Prio, st.Units)
 			st.HighFreq = resizeBool(st.HighFreq, st.Units)
 			st.PrevPrio = resizeBool(st.PrevPrio, st.Units)
-			r.bits(st.Prio)
-			r.bits(st.HighFreq)
-			r.bits(st.PrevPrio)
+			readBits(&r, st.Prio)
+			readBits(&r, st.HighFreq)
+			readBits(&r, st.PrevPrio)
 			if cap(st.Frozen) < st.Units {
 				st.Frozen = make([]priority.FrozenStats, st.Units)
 			}
 			st.Frozen = st.Frozen[:st.Units]
 			for i := range st.Frozen {
-				st.Frozen[i].N = int(r.u32())
-				st.Frozen[i].Std = power.Watts(r.f64())
-				st.Frozen[i].Deriv = power.Watts(r.f64())
-				st.Frozen[i].HighFreqNow = r.boolean()
+				st.Frozen[i].N = int(r.U32())
+				st.Frozen[i].Std = power.Watts(r.F64())
+				st.Frozen[i].Deriv = power.Watts(r.F64())
+				st.Frozen[i].HighFreqNow = r.Bool()
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 
 		case SecRNG:
-			st.RNGSeed = int64(r.u64())
-			st.RNGDraws = r.u64()
-			if err := r.done(id); err != nil {
+			st.RNGSeed = int64(r.U64())
+			st.RNGDraws = r.U64()
+			if err := done(&r, id); err != nil {
 				return err
 			}
 
 		case SecProv:
 			st.Reasons = resizeU8(st.Reasons, st.Units)
 			for i := range st.Reasons {
-				st.Reasons[i] = r.u8()
+				st.Reasons[i] = r.U8()
 			}
 			st.RoundBefore = resizeVec(st.RoundBefore, st.Units)
 			for i := range st.RoundBefore {
-				st.RoundBefore[i] = power.Watts(r.f64())
+				st.RoundBefore[i] = power.Watts(r.F64())
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 
 		case SecSparse:
-			st.LastDT = power.Seconds(r.f64())
-			st.HighCount = int(int64(r.u64()))
-			st.CachedSum = power.Watts(r.f64())
-			st.SumValid = r.boolean()
+			st.LastDT = power.Seconds(r.F64())
+			st.HighCount = int(int64(r.U64()))
+			st.CachedSum = power.Watts(r.F64())
+			st.SumValid = r.Bool()
 			words := (st.Units + 63) / 64
 			st.SettledW = resizeU64(st.SettledW, words)
 			for i := range st.SettledW {
-				st.SettledW[i] = r.u64()
+				st.SettledW[i] = r.U64()
 			}
 			st.CapMovedW = resizeU64(st.CapMovedW, words)
 			for i := range st.CapMovedW {
-				st.CapMovedW[i] = r.u64()
+				st.CapMovedW[i] = r.U64()
 			}
 			st.LastVal = resizeVec(st.LastVal, st.Units)
 			for i := range st.LastVal {
-				st.LastVal[i] = power.Watts(r.f64())
+				st.LastVal[i] = power.Watts(r.F64())
 			}
 			st.LastStep = resizeU64(st.LastStep, st.Units)
 			for i := range st.LastStep {
-				st.LastStep[i] = r.u64()
+				st.LastStep[i] = r.U64()
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 			st.HasSparse = true
 
 		case SecDaemon:
-			st.SavedUnixMS = int64(r.u64())
-			st.Rounds = r.u64()
+			st.SavedUnixMS = int64(r.U64())
+			st.Rounds = r.U64()
 			st.Health = resizeU8(st.Health, st.Units)
 			for i := range st.Health {
-				st.Health[i] = r.u8()
+				st.Health[i] = r.U8()
 			}
 			st.ReportAgeMS = resizeU64(st.ReportAgeMS, st.Units)
 			for i := range st.ReportAgeMS {
-				st.ReportAgeMS[i] = r.u64()
+				st.ReportAgeMS[i] = r.U64()
 			}
 			st.LastCaps = resizeVec(st.LastCaps, st.Units)
 			for i := range st.LastCaps {
-				st.LastCaps[i] = power.Watts(r.f64())
+				st.LastCaps[i] = power.Watts(r.F64())
 			}
 			st.LastPushed = resizeVec(st.LastPushed, st.Units)
 			for i := range st.LastPushed {
-				st.LastPushed[i] = power.Watts(r.f64())
+				st.LastPushed[i] = power.Watts(r.F64())
 			}
 			st.Readings = resizeVec(st.Readings, st.Units)
 			for i := range st.Readings {
-				st.Readings[i] = power.Watts(r.f64())
+				st.Readings[i] = power.Watts(r.F64())
 			}
-			if err := r.done(id); err != nil {
+			if err := done(&r, id); err != nil {
 				return err
 			}
 			st.HasDaemon = true

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"dps/internal/codec"
 	"dps/internal/power"
 	"dps/internal/priority"
 )
@@ -260,9 +261,9 @@ func TestUnknownSectionSkipped(t *testing.T) {
 	// Append a future section (id 0x7777) with a valid CRC; the decoder
 	// must skip it and still return the known state.
 	var extra []byte
-	extra, start := beginSection(img, 0x7777)
+	extra, start := codec.BeginSection(img, 0x7777)
 	extra = append(extra, []byte("future payload")...)
-	extra = endSection(extra, start)
+	extra = codec.EndSection(extra, start)
 
 	got, err := Decode(extra)
 	if err != nil {

@@ -1,7 +1,7 @@
 // Package telemetry is the repository's observability substrate: a
 // dependency-free metrics registry (atomic counters, gauges, and
-// fixed-bucket histograms with Prometheus text exposition) and a decision
-// flight recorder (a ring buffer of per-round records served as JSON).
+// fixed-bucket histograms with Prometheus text exposition). The decision
+// flight recorder lives with the black box (internal/blackbox.Ring).
 //
 // The controller daemon, the node agent, and the simulator all publish
 // through the same registry so one scrape format covers every deployment

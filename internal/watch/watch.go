@@ -205,8 +205,12 @@ type ruleState struct {
 	since      time.Time
 	pendingAt  time.Time // when the condition started holding (pending entry)
 	value      float64
-	message    string
+	message    string // series rules; built-ins format theirs from audit
 	firedCount uint64
+	// audit is a built-in rule's last observed round (audited once one
+	// arrived), kept so its message is formatted only when read.
+	audit   RoundAudit
+	audited bool
 
 	firing      *telemetry.Gauge
 	toPending   *telemetry.Counter
@@ -310,7 +314,7 @@ func (w *Watcher) transition(rs *ruleState, state string, now time.Time) {
 			rs.toInactive_.Inc()
 		}
 	}
-	w.logf("watch: alert rule=%s state=%s from=%s value=%g msg=%q", rs.rule.Name, state, from, rs.value, rs.message)
+	w.logf("watch: alert rule=%s state=%s from=%s value=%g msg=%q", rs.rule.Name, state, from, rs.value, w.message(rs))
 }
 
 // step advances one rule's state machine given the condition's truth at
@@ -344,7 +348,8 @@ func (w *Watcher) step(rs *ruleState, cond bool, now time.Time) {
 
 // ObserveRound submits one decision round's invariant evidence. Built-in
 // audits evaluate immediately; a violated invariant fires within this
-// call. Nil-safe.
+// call. It formats nothing unless a rule transitions, so a quiet round
+// allocates nothing. Nil-safe.
 func (w *Watcher) ObserveRound(a RoundAudit) {
 	if w == nil {
 		return
@@ -352,24 +357,37 @@ func (w *Watcher) ObserveRound(a RoundAudit) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	w.lastRound = a.Round
-	if rs, ok := w.index[RuleBudgetConservation]; ok {
-		over := a.CapSumW - a.BudgetW
-		rs.value = over
-		rs.message = fmt.Sprintf("round %d: cap sum %.3f W vs budget %.3f W (tolerance %g W)",
+	observe := func(name string, value float64, cond bool) {
+		if rs, ok := w.index[name]; ok {
+			rs.value = value
+			rs.audit, rs.audited = a, true
+			w.step(rs, cond, a.Time)
+		}
+	}
+	over := a.CapSumW - a.BudgetW
+	observe(RuleBudgetConservation, over, over > w.tolW)
+	observe(RuleHealthPinIntegrity, float64(a.PinViolations), a.PinViolations > 0)
+	observe(RuleProvenanceCoverage, float64(a.ProvenanceViolations), a.ProvenanceAudited && a.ProvenanceViolations > 0)
+}
+
+// message returns a rule's current message. Built-in audits format
+// theirs from the last observed round here, when the state is read or
+// transitions, rather than on every round. Callers hold w.mu.
+func (w *Watcher) message(rs *ruleState) string {
+	if !rs.builtin || !rs.audited {
+		return rs.message
+	}
+	a := &rs.audit
+	switch rs.rule.Name {
+	case RuleBudgetConservation:
+		return fmt.Sprintf("round %d: cap sum %.3f W vs budget %.3f W (tolerance %g W)",
 			a.Round, a.CapSumW, a.BudgetW, w.tolW)
-		w.step(rs, over > w.tolW, a.Time)
-	}
-	if rs, ok := w.index[RuleHealthPinIntegrity]; ok {
-		rs.value = float64(a.PinViolations)
-		rs.message = fmt.Sprintf("round %d: %d of %d non-fresh units moved off their delivered cap",
+	case RuleHealthPinIntegrity:
+		return fmt.Sprintf("round %d: %d of %d non-fresh units moved off their delivered cap",
 			a.Round, a.PinViolations, a.PinAudited)
-		w.step(rs, a.PinViolations > 0, a.Time)
-	}
-	if rs, ok := w.index[RuleProvenanceCoverage]; ok {
-		rs.value = float64(a.ProvenanceViolations)
-		rs.message = fmt.Sprintf("round %d: %d cap changes without a recorded reason",
+	default:
+		return fmt.Sprintf("round %d: %d cap changes without a recorded reason",
 			a.Round, a.ProvenanceViolations)
-		w.step(rs, a.ProvenanceAudited && a.ProvenanceViolations > 0, a.Time)
 	}
 }
 
@@ -458,7 +476,7 @@ func (w *Watcher) Alerts() []Alert {
 			State:      rs.state,
 			Since:      rs.since,
 			Value:      rs.value,
-			Message:    rs.message,
+			Message:    w.message(rs),
 			FiredCount: rs.firedCount,
 		})
 	}

@@ -287,3 +287,37 @@ func TestHandlerJSON(t *testing.T) {
 		t.Error("firing alert carries no message")
 	}
 }
+
+// TestBuiltinMessagesFormattedOnRead pins the built-in audits' /alerts
+// messages — formatted from the last observed round when the state is
+// read — and that a quiet ObserveRound allocates nothing.
+func TestBuiltinMessagesFormattedOnRead(t *testing.T) {
+	w := New(Config{})
+	for _, a := range w.Alerts() {
+		if a.Message != "" {
+			t.Fatalf("rule %s has message %q before any round", a.Rule, a.Message)
+		}
+	}
+	w.ObserveRound(RoundAudit{Round: 7, Time: at(0), BudgetW: 200, CapSumW: 201.5,
+		PinAudited: 3, PinViolations: 1, ProvenanceAudited: true, ProvenanceViolations: 2})
+	want := map[string]string{
+		RuleBudgetConservation: "round 7: cap sum 201.500 W vs budget 200.000 W (tolerance 0.001 W)",
+		RuleHealthPinIntegrity: "round 7: 1 of 3 non-fresh units moved off their delivered cap",
+		RuleProvenanceCoverage: "round 7: 2 cap changes without a recorded reason",
+	}
+	for rule, msg := range want {
+		if a := alertState(t, w, rule); a.State != StateFiring || a.Message != msg {
+			t.Errorf("%s: state %s message %q, want firing %q", rule, a.State, a.Message, msg)
+		}
+	}
+
+	quiet := New(Config{})
+	round := uint64(0)
+	allocs := testing.AllocsPerRun(100, func() {
+		round++
+		quiet.ObserveRound(RoundAudit{Round: round, Time: at(int(round)), BudgetW: 200, CapSumW: 190, ProvenanceAudited: true})
+	})
+	if allocs != 0 {
+		t.Errorf("quiet ObserveRound allocated %.1f times, want 0", allocs)
+	}
+}
